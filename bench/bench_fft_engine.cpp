@@ -1,6 +1,8 @@
 // google-benchmark microbenches of the FFT engine substrate, plus the
 // scalar-vs-batched A/B harness that records bench/out/fft_engine_batched.csv
-// (items/sec and GFLOP/s via the 5*n*log2(n) mixed-radix flop model).
+// (items/sec and GFLOP/s via the 5*n*log2(n) mixed-radix flop model) and the
+// per-ISA-tier report bench/out/fft_engine_isa.json, which perf_regress
+// merges into BENCH_SUMMARY.json.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -9,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common.hpp"
 #include "core/csv.hpp"
 #include "core/rng.hpp"
 #include "core/timer.hpp"
@@ -16,6 +19,7 @@
 #include "fft/plan1d.hpp"
 #include "fft/plan2d.hpp"
 #include "fft/plan3d.hpp"
+#include "fft/r2c1d.hpp"
 
 namespace {
 
@@ -23,6 +27,7 @@ using fx::fft::BatchKernel;
 using fx::fft::BatchPlan1d;
 using fx::fft::cplx;
 using fx::fft::Direction;
+using fx::fft::TileIsa;
 
 std::vector<cplx> random_signal(std::size_t n) {
   fx::core::Rng rng(n);
@@ -175,12 +180,82 @@ void write_batched_csv() {
   }
 }
 
+// --- Per-ISA-tier report ------------------------------------------------
+
+/// GFLOP/s of every available tile tier on the pipeline's shapes: the
+/// Z-stick batch (n 60, 2550 sticks), one 60^2 and one 120^2 XY plane, and
+/// r2c over the same stick batch (half the complex flops).  The dispatch
+/// check is exact: the tier plans get by default must be the best tier the
+/// CPU reports, whatever the host.
+void write_isa_report() {
+  fxbench::JsonReport report("fft_engine_isa");
+  const TileIsa dispatched = fx::fft::default_tile_isa();
+  const TileIsa best = fx::fft::cpu_best_tile_isa();
+  report.set("isa.dispatched", static_cast<double>(dispatched));
+  report.set("isa.cpu_best", static_cast<double>(best));
+  report.set("isa.dispatch_is_cpu_best", dispatched == best ? 1.0 : 0.0);
+
+  fx::core::TablePrinter t(
+      fx::core::cat("FFT tile GFLOP/s per ISA tier (dispatched: ",
+                    fx::fft::to_string(dispatched), ")"));
+  t.header({"tier", "z_sticks_n60x2550", "plane60", "plane120", "r2c_n60x2550"});
+  fx::fft::Workspace ws;
+  const std::size_t nz = 60;
+  const std::size_t sticks = 2550;
+  const double lz = std::log2(static_cast<double>(nz));
+  for (const TileIsa isa : {TileIsa::Baseline, TileIsa::X86_64_V4}) {
+    if (!fx::fft::tile_isa_available(isa)) continue;
+    std::map<std::string, double> g;
+    {
+      const BatchPlan1d plan(nz, Direction::Backward, BatchKernel::Simd, isa);
+      auto data = random_signal(nz * sticks);
+      const double s = seconds_per_call([&] {
+        plan.execute_many(sticks, data.data(), 1, nz, data.data(), 1, nz, ws);
+      });
+      g["z_sticks_n60x2550"] = 5.0 * nz * lz * sticks / s * 1e-9;
+    }
+    for (const std::size_t n : {60UL, 120UL}) {
+      const fx::fft::Fft2d plan(n, n, Direction::Backward, BatchKernel::Simd,
+                                isa);
+      auto data = random_signal(n * n);
+      const double s = seconds_per_call(
+          [&] { plan.execute(data.data(), data.data(), ws); });
+      const double pts = static_cast<double>(n * n);
+      g[fx::core::cat("plane", n)] = 5.0 * pts * std::log2(pts) / s * 1e-9;
+    }
+    {
+      const fx::fft::BatchPlanR2c1d plan(nz, Direction::Forward,
+                                         BatchKernel::Simd, isa);
+      std::vector<double> in(nz * sticks);
+      fx::core::Rng rng(3);
+      for (double& x : in) x = rng.uniform(-0.5, 0.5);
+      const std::size_t half = plan.half_spectrum();
+      std::vector<cplx> out(half * sticks);
+      const double s = seconds_per_call([&] {
+        plan.execute_many(sticks, in.data(), 1, nz, out.data(), 1, half, ws);
+      });
+      g["r2c_n60x2550"] = 2.5 * nz * lz * sticks / s * 1e-9;
+    }
+    std::vector<std::string> row{fx::fft::to_string(isa)};
+    for (const auto& key :
+         {"z_sticks_n60x2550", "plane60", "plane120", "r2c_n60x2550"}) {
+      report.set(fx::core::cat("gflops.", key, ".", fx::fft::to_string(isa)),
+                 g[key]);
+      row.push_back(fmt(g[key]));
+    }
+    t.row(row);
+  }
+  t.print(std::cout);
+  report.write();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The A/B comparison runs first so `bench_fft_engine` from the repo root
-  // always refreshes bench/out/fft_engine_batched.csv (the bench/out/ tree
-  // is created relative to the CWD); pass --no-csv to skip it.
+  // The A/B reports run first so `bench_fft_engine` from the repo root
+  // always refreshes bench/out/fft_engine_batched.csv and
+  // bench/out/fft_engine_isa.json (the bench/out/ tree is created relative
+  // to the CWD); pass --no-csv to skip both.
   bool csv = true;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--no-csv") {
@@ -194,8 +269,10 @@ int main(int argc, char** argv) {
     try {
       write_batched_csv();
       std::fprintf(stderr, "wrote bench/out/fft_engine_batched.csv\n");
+      write_isa_report();
+      std::fprintf(stderr, "wrote bench/out/fft_engine_isa.json\n");
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "skipping batched CSV: %s\n", e.what());
+      std::fprintf(stderr, "skipping A/B reports: %s\n", e.what());
     }
   }
   benchmark::Initialize(&argc, argv);

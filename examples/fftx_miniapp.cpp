@@ -39,6 +39,7 @@
 
 #include "core/format.hpp"
 #include "core/metrics.hpp"
+#include "fft/batch1d.hpp"
 #include "fftx/pipeline.hpp"
 #include "fftx/reference.hpp"
 #include "perfmodel/machine.hpp"
@@ -155,7 +156,14 @@ int main(int argc, char** argv) {
             << "layout: " << o.nranks << " ranks, ntg " << o.ntg << ", mode "
             << to_string(o.mode) << ", " << o.nthreads
             << " thread(s)/rank, backend "
-            << (o.model_backend ? "model (KNL)" : "real (this host)") << "\n";
+            << (o.model_backend ? "model (KNL)" : "real (this host)") << "\n"
+            << "FFT kernel: "
+            << (fx::fft::default_batch_kernel() == fx::fft::BatchKernel::Scalar
+                    ? "scalar oracle"
+                    : "batched tiles")
+            << ", tile ISA " << fx::fft::to_string(fx::fft::default_tile_isa())
+            << " (CPU best " << fx::fft::to_string(fx::fft::cpu_best_tile_isa())
+            << ")\n";
 
   fx::trace::Tracer tracer(o.nranks);
   // Dumped from the destructor, so the artifacts (trace, metrics, flight

@@ -23,11 +23,18 @@
 // a tile, and lengths whose tile scratch would overflow L2 all route
 // through the scalar Fft1d path, which also remains selectable per plan
 // (BatchKernel::Scalar) as the A/B correctness oracle for benchmarks.
+//
+// The tile body is compiled once per instruction-set tier (TileIsa; see
+// tile_kernel.hpp) and chosen once per process from cpuid, so default
+// builds run full-width AVX-512 packs where the CPU has them.  Every tier
+// is bit-identical to the scalar oracle (DESIGN.md, "Runtime ISA
+// dispatch"), which is why plan caches need no ISA in their keys.
 #pragma once
 
 #include <cstddef>
 
 #include "fft/plan1d.hpp"
+#include "fft/tile_kernel.hpp"
 #include "fft/types.hpp"
 #include "fft/workspace.hpp"
 
@@ -43,19 +50,42 @@ enum class BatchKernel { Simd, Scalar };
 /// switch the pipeline benches use without recompiling.
 BatchKernel default_batch_kernel();
 
+/// Instruction-set tier a BatchPlan1d's SIMD tiles run on.  Baseline is
+/// the build's default target; X86_64_V4 is AVX-512 (32 vector registers,
+/// one 8-lane pack per register).
+enum class TileIsa { Baseline, X86_64_V4 };
+
+/// "baseline" or "x86-64-v4".
+const char* to_string(TileIsa isa);
+
+/// Best tier this CPU reports through cpuid, whether or not this build
+/// contains its tile.
+TileIsa cpu_best_tile_isa();
+
+/// True if this build contains `isa`'s tile and this CPU can run it.
+bool tile_isa_available(TileIsa isa);
+
+/// The tier plans use unless told otherwise: the best available one,
+/// resolved once per process.
+TileIsa default_tile_isa();
+
 class BatchPlan1d {
  public:
   /// Transforms per SIMD tile: 8 doubles = one AVX-512 register (KNL's
-  /// native width); on narrower hosts the compiler splits each lane loop
-  /// into 2 or 4 vector ops, which still beats scalar complex arithmetic.
-  static constexpr std::size_t kSimdWidth = 8;
+  /// native width).  The baseline tier splits each lane loop into 2 or 4
+  /// narrower vector ops, which still beats scalar complex arithmetic.
+  static constexpr std::size_t kSimdWidth = detail::kTileLanes;
 
+  /// `isa` must be available (tile_isa_available); tests and benches pass
+  /// a tier explicitly to compare tiers within one process.
   BatchPlan1d(std::size_t n, Direction dir,
-              BatchKernel kernel = default_batch_kernel());
+              BatchKernel kernel = default_batch_kernel(),
+              TileIsa isa = default_tile_isa());
 
   [[nodiscard]] std::size_t size() const { return base_.size(); }
   [[nodiscard]] Direction direction() const { return base_.direction(); }
   [[nodiscard]] BatchKernel kernel() const { return kernel_; }
+  [[nodiscard]] TileIsa isa() const { return isa_; }
 
   /// True if execute_many will use the SIMD tile path (false for the
   /// scalar oracle, Bluestein sizes, and tile-overflows-L2 lengths).
@@ -81,13 +111,11 @@ class BatchPlan1d {
   void execute_tile(std::size_t lanes, const cplx* in, std::size_t istride,
                     std::size_t idist, cplx* out, std::size_t ostride,
                     std::size_t odist, Workspace& ws) const;
-  void brecurse(std::size_t n, std::size_t factor_index, const double* in,
-                std::size_t istride, double* out, double* scratch) const;
-  void bsmall_dft(std::size_t r, const double* z, std::size_t zstride,
-                  double* out, std::size_t ostride) const;
 
   Fft1d base_;
   BatchKernel kernel_;
+  TileIsa isa_;
+  detail::TileFn tile_;
   bool simd_ok_;
 };
 

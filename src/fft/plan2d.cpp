@@ -4,10 +4,11 @@
 
 namespace fx::fft {
 
-Fft2d::Fft2d(std::size_t nx, std::size_t ny, Direction dir, BatchKernel kernel)
+Fft2d::Fft2d(std::size_t nx, std::size_t ny, Direction dir, BatchKernel kernel,
+             TileIsa isa)
     : nx_(nx), ny_(ny), dir_(dir),
-      along_x_(nx, dir, kernel),
-      along_y_(ny, dir, kernel) {}
+      along_x_(nx, dir, kernel, isa),
+      along_y_(ny, dir, kernel, isa) {}
 
 void Fft2d::execute(const cplx* in, cplx* out, Workspace& ws) const {
   // Rows first (a contiguous batch), then columns (a transposed batch,

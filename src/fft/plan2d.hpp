@@ -20,7 +20,8 @@ namespace fx::fft {
 class Fft2d {
  public:
   Fft2d(std::size_t nx, std::size_t ny, Direction dir,
-        BatchKernel kernel = default_batch_kernel());
+        BatchKernel kernel = default_batch_kernel(),
+        TileIsa isa = default_tile_isa());
 
   [[nodiscard]] std::size_t nx() const { return nx_; }
   [[nodiscard]] std::size_t ny() const { return ny_; }

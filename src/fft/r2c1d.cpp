@@ -13,7 +13,7 @@ constexpr std::size_t kTile = BatchPlanR2c1d::kSimdWidth;
 }  // namespace
 
 BatchPlanR2c1d::BatchPlanR2c1d(std::size_t n, Direction dir,
-                               BatchKernel kernel)
+                               BatchKernel kernel, TileIsa isa)
     : n_(n),
       nh_(n / 2 + 1),
       dir_(dir),
@@ -21,7 +21,7 @@ BatchPlanR2c1d::BatchPlanR2c1d(std::size_t n, Direction dir,
       packed_(n >= 2 && n % 2 == 0 && kernel != BatchKernel::Scalar) {
   FX_CHECK(n >= 1);
   if (packed_) {
-    half_ = std::make_unique<BatchPlan1d>(n / 2, dir, kernel);
+    half_ = std::make_unique<BatchPlan1d>(n / 2, dir, kernel, isa);
     // Split/merge twiddles w^k = exp(sign*2*pi*i*k/n) for k = 0..n/2; the
     // forward split uses the forward sign, the backward pre-pass needs the
     // conjugate, which is exactly the backward sign.

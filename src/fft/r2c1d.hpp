@@ -44,9 +44,11 @@ class BatchPlanR2c1d {
 
   /// A Forward plan computes r2c (real in, half spectrum out); a Backward
   /// plan computes c2r (half spectrum in, real out).  Any n >= 1 works;
-  /// even n >= 2 with a non-scalar kernel uses the packed half-length path.
+  /// even n >= 2 with a non-scalar kernel uses the packed half-length path,
+  /// whose tiles run on `isa`.
   BatchPlanR2c1d(std::size_t n, Direction dir,
-                 BatchKernel kernel = default_batch_kernel());
+                 BatchKernel kernel = default_batch_kernel(),
+                 TileIsa isa = default_tile_isa());
 
   /// Logical (real) transform length n.
   [[nodiscard]] std::size_t size() const { return n_; }

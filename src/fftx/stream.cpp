@@ -436,16 +436,24 @@ void StreamExecutor::install_queue_wait_observer() {
   // Ready-but-unscheduled time, attributed to the task's iteration (the
   // trailing "#<iter>" every streaming label carries) as its own phase so
   // the observatory separates scheduler backlog from compute and comm.
+  // A caller's tracer gets the same wait as a TaskWait span ending at
+  // dispatch, so timelines and trace analysis show it too.
   task::TaskObserver obs;
-  obs.on_queue_wait = [rank = p_.w_](int /*worker*/,
-                                     const std::string& label,
-                                     double wait_s) {
-    trace::Observatory* o = trace::obs_active();
-    if (o == nullptr) return;
+  obs.on_queue_wait = [rank = p_.w_, tracer = p_.tracer_](
+                          int worker, const std::string& label,
+                          double wait_s) {
     const auto pos = label.rfind('#');
     if (pos == std::string::npos || pos + 1 >= label.size()) return;
     const int iter = std::atoi(label.c_str() + pos + 1);
-    o->record_phase(rank, trace::PhaseKind::TaskWait, iter, wait_s);
+    if (trace::Observatory* o = trace::obs_active()) {
+      o->record_phase(rank, trace::PhaseKind::TaskWait, iter, wait_s);
+    }
+    if (tracer != nullptr) {
+      const double t_end = core::WallTimer::now();
+      tracer->record_compute({rank, std::max(0, worker),
+                              trace::PhaseKind::TaskWait, iter,
+                              t_end - wait_s, t_end, 0.0});
+    }
   };
   p_.rt_->set_observer(std::move(obs));
 }
@@ -466,7 +474,9 @@ void StreamExecutor::run() {
 
   slots_.resize(static_cast<std::size_t>(depth_));
   for (Slot& s : slots_) s.wb = p.make_buffers();
-  if (trace::obs_active() != nullptr) install_queue_wait_observer();
+  if (trace::obs_active() != nullptr || p.tracer_ != nullptr) {
+    install_queue_wait_observer();
+  }
 
   try {
     int index = 0;

@@ -630,6 +630,11 @@ Comm Comm::split(int color, int key, int tag) const {
                   ctx_->world_ranks[static_cast<std::size_t>(m)]);
             }
           }
+          // Register the child for poison propagation.  Dropping expired
+          // entries here keeps the registry bounded by the live children:
+          // a weak_ptr to a make_shared block pins the whole allocation.
+          std::erase_if(ctx_->children,
+                        [](const auto& w) { return w.expired(); });
           ctx_->children.push_back(child);
           for (std::size_t i = 0; i < members.size(); ++i) {
             const auto m = static_cast<std::size_t>(members[i]);

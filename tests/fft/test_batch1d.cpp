@@ -2,13 +2,17 @@
 // path: every (length, batch, layout) combination is checked against the
 // scalar oracle within 1e-12 relative L2 error, against the naive
 // reference DFT, and through round trips -- including batch sizes that
-// leave partial tiles and the Bluestein fallback length.
+// leave partial tiles and the Bluestein fallback length.  Every ISA tier
+// this host can run is checked bit for bit against the baseline tier and
+// the scalar oracle.
 #include "fft/batch1d.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
@@ -25,6 +29,7 @@ using fx::fft::cplx;
 using fx::fft::Direction;
 using fx::fft::dft_reference;
 using fx::fft::Fft1d;
+using fx::fft::TileIsa;
 using fx::fft::Workspace;
 
 constexpr std::size_t kW = BatchPlan1d::kSimdWidth;
@@ -174,6 +179,111 @@ std::vector<BatchCase> all_cases() {
 
 INSTANTIATE_TEST_SUITE_P(Layouts, BatchSweep, ::testing::ValuesIn(all_cases()),
                          case_name);
+
+// --- ISA tiers: bit identity ------------------------------------------
+
+/// Every tier this build contains and this CPU runs (Baseline first).
+std::vector<TileIsa> available_tiers() {
+  std::vector<TileIsa> tiers;
+  for (const TileIsa isa : {TileIsa::Baseline, TileIsa::X86_64_V4}) {
+    if (fx::fft::tile_isa_available(isa)) tiers.push_back(isa);
+  }
+  return tiers;
+}
+
+/// Per-element, per-bit equality of two outputs; stops at the first
+/// mismatch so a broken tier reports one element, not thousands.
+void expect_bitwise_equal(const std::vector<cplx>& got,
+                          const std::vector<cplx>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].real()),
+              std::bit_cast<std::uint64_t>(want[i].real()))
+        << what << ": element " << i << " re " << got[i].real() << " vs "
+        << want[i].real();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].imag()),
+              std::bit_cast<std::uint64_t>(want[i].imag()))
+        << what << ": element " << i << " im " << got[i].imag() << " vs "
+        << want[i].imag();
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+struct TierCase {
+  std::size_t n;
+  Direction dir;
+  bool transposed;
+};
+
+std::string tier_case_name(const ::testing::TestParamInfo<TierCase>& info) {
+  return "n" + std::to_string(info.param.n) +
+         (info.param.dir == Direction::Forward ? "_fwd" : "_bwd") +
+         (info.param.transposed ? "_transposed" : "_contiguous");
+}
+
+class TierBitIdentity : public ::testing::TestWithParam<TierCase> {};
+
+TEST_P(TierBitIdentity, EveryTierMatchesBaselineAndScalarBitForBit) {
+  // Batch 67 = 8 full tiles plus a 3-lane partial one.
+  const auto [n, dir, transposed] = GetParam();
+  constexpr std::size_t kBatch = 67;
+  const std::size_t stride = transposed ? kBatch : 1;
+  const std::size_t dist = transposed ? 1 : n;
+  const auto in = random_signal(n * kBatch, 7000 + n);
+  Workspace ws;
+  auto run = [&](const BatchPlan1d& plan) {
+    std::vector<cplx> out(n * kBatch);
+    plan.execute_many(kBatch, in.data(), stride, dist, out.data(), stride,
+                      dist, ws);
+    return out;
+  };
+
+  const BatchPlan1d baseline(n, dir, BatchKernel::Simd, TileIsa::Baseline);
+  ASSERT_TRUE(baseline.simd_active());
+  const auto scalar = run(BatchPlan1d(n, dir, BatchKernel::Scalar));
+  const auto base = run(baseline);
+  expect_bitwise_equal(base, scalar, "baseline vs scalar");
+  for (const TileIsa isa : available_tiers()) {
+    const BatchPlan1d plan(n, dir, BatchKernel::Simd, isa);
+    EXPECT_EQ(plan.isa(), isa);
+    const auto got = run(plan);
+    expect_bitwise_equal(got, base, fx::fft::to_string(isa));
+    expect_bitwise_equal(got, scalar, fx::fft::to_string(isa));
+  }
+}
+
+std::vector<TierCase> tier_cases() {
+  std::vector<TierCase> cases;
+  for (std::size_t n : {10UL, 20UL, 30UL, 60UL, 64UL, 120UL, 243UL, 720UL}) {
+    for (const Direction dir : {Direction::Forward, Direction::Backward}) {
+      cases.push_back({n, dir, false});
+      cases.push_back({n, dir, true});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, TierBitIdentity,
+                         ::testing::ValuesIn(tier_cases()), tier_case_name);
+
+TEST(TileIsa, DefaultIsTheBestAvailableTier) {
+  EXPECT_TRUE(fx::fft::tile_isa_available(TileIsa::Baseline));
+  const TileIsa best = fx::fft::cpu_best_tile_isa();
+  const TileIsa dispatched = fx::fft::default_tile_isa();
+  EXPECT_TRUE(fx::fft::tile_isa_available(dispatched));
+  if (fx::fft::tile_isa_available(best)) {
+    EXPECT_EQ(dispatched, best);
+  }
+  EXPECT_EQ(BatchPlan1d(60, Direction::Forward).isa(), dispatched);
+  EXPECT_STREQ(fx::fft::to_string(TileIsa::Baseline), "baseline");
+  EXPECT_STREQ(fx::fft::to_string(TileIsa::X86_64_V4), "x86-64-v4");
+  // A tier this host cannot run is refused, never silently substituted.
+  if (!fx::fft::tile_isa_available(TileIsa::X86_64_V4)) {
+    EXPECT_THROW(BatchPlan1d(60, Direction::Forward, BatchKernel::Simd,
+                             TileIsa::X86_64_V4),
+                 fx::core::Error);
+  }
+}
 
 TEST(BatchPlan1d, SimdActiveMatchesExpectations) {
   // Mixed-radix sizes that fit the L2 tile budget vectorize...

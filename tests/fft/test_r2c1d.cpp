@@ -1,7 +1,10 @@
-// Batched r2c/c2r transforms vs. the reference DFT on real input.
+// Batched r2c/c2r transforms vs. the reference DFT on real input, and
+// every ISA tier bit for bit against the baseline tier.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "core/error.hpp"
@@ -18,6 +21,7 @@ using fx::fft::BatchKernel;
 using fx::fft::BatchPlanR2c1d;
 using fx::fft::cplx;
 using fx::fft::Direction;
+using fx::fft::TileIsa;
 using fx::fft::Workspace;
 
 std::vector<double> random_real(std::size_t n, std::uint64_t seed) {
@@ -144,6 +148,95 @@ TEST_P(R2cBatchSweep, TransposedLayoutRoundTrips) {
 
 INSTANTIATE_TEST_SUITE_P(Batches, R2cBatchSweep,
                          ::testing::Values(1, 2, 3, 7, 8, 9, 16, 33, 64));
+
+// --- ISA tiers ---------------------------------------------------------
+//
+// The packed path's half-length transform runs on the plan's tier, so every
+// tier must reproduce the baseline tier's output bit for bit.  The scalar
+// kernel runs a different algorithm (a full-length complex transform of
+// the zero-extended signal), so it agrees to round-off, not bitwise; the
+// complex tile's bitwise agreement with the scalar engine is pinned in
+// test_batch1d.cpp.
+
+struct R2cTierCase {
+  std::size_t n;
+  Direction dir;
+  bool transposed;
+};
+
+class R2cTierBitIdentity : public ::testing::TestWithParam<R2cTierCase> {};
+
+TEST_P(R2cTierBitIdentity, EveryTierMatchesBaselineBitForBit) {
+  const auto [n, dir, transposed] = GetParam();
+  constexpr std::size_t kBatch = 67;
+  const std::size_t nh = n / 2 + 1;
+  const bool fwd = dir == Direction::Forward;
+  // Forward maps n reals to nh coefficients; backward the reverse.
+  const std::size_t in_len = fwd ? n : nh;
+  const std::size_t out_len = fwd ? nh : n;
+  const std::size_t istride = transposed ? kBatch : 1;
+  const std::size_t idist = transposed ? 1 : in_len;
+  const std::size_t ostride = transposed ? kBatch : 1;
+  const std::size_t odist = transposed ? 1 : out_len;
+  const auto real_in = random_real(n * kBatch, 900 + n);
+  std::vector<cplx> cplx_in(nh * kBatch);
+  for (std::size_t i = 0; i < cplx_in.size(); ++i) {
+    cplx_in[i] = cplx{real_in[i % real_in.size()],
+                      real_in[(i * 7 + 3) % real_in.size()]};
+  }
+  Workspace ws;
+  // Raw bits of one plan's output, whichever direction it runs.
+  auto run = [&](const BatchPlanR2c1d& plan) {
+    std::vector<std::uint64_t> bits;
+    if (fwd) {
+      std::vector<cplx> out(nh * kBatch);
+      plan.execute_many(kBatch, real_in.data(), istride, idist, out.data(),
+                        ostride, odist, ws);
+      for (const cplx& c : out) {
+        bits.push_back(std::bit_cast<std::uint64_t>(c.real()));
+        bits.push_back(std::bit_cast<std::uint64_t>(c.imag()));
+      }
+    } else {
+      std::vector<double> out(n * kBatch);
+      plan.execute_many(kBatch, cplx_in.data(), istride, idist, out.data(),
+                        ostride, odist, ws);
+      for (const double x : out) bits.push_back(std::bit_cast<std::uint64_t>(x));
+    }
+    return bits;
+  };
+
+  const BatchPlanR2c1d baseline(n, dir, BatchKernel::Simd, TileIsa::Baseline);
+  ASSERT_TRUE(baseline.packed_active());
+  const auto want = run(baseline);
+  for (const TileIsa isa : {TileIsa::Baseline, TileIsa::X86_64_V4}) {
+    if (!fx::fft::tile_isa_available(isa)) continue;
+    const auto got = run(BatchPlanR2c1d(n, dir, BatchKernel::Simd, isa));
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], want[i]) << fx::fft::to_string(isa) << ": word " << i;
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+std::vector<R2cTierCase> r2c_tier_cases() {
+  std::vector<R2cTierCase> cases;
+  for (std::size_t n : {10UL, 20UL, 30UL, 60UL, 64UL, 120UL, 720UL}) {
+    for (const Direction dir : {Direction::Forward, Direction::Backward}) {
+      cases.push_back({n, dir, false});
+      cases.push_back({n, dir, true});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Tiers, R2cTierBitIdentity, ::testing::ValuesIn(r2c_tier_cases()),
+    [](const ::testing::TestParamInfo<R2cTierCase>& info) {
+      return "n" + std::to_string(info.param.n) +
+             (info.param.dir == Direction::Forward ? "_r2c" : "_c2r") +
+             (info.param.transposed ? "_transposed" : "_contiguous");
+    });
 
 TEST(R2c, RejectsWrongDirection) {
   BatchPlanR2c1d fwd(8, Direction::Forward);

@@ -2,7 +2,8 @@
 // exchange variant is bit-identical to the Original oracle (including the
 // r2c, narrow-wire, guarded and ABFT compositions), the split nonblocking
 // path actually posts nonblocking exchanges and hides wait behind other
-// bands' compute (fftx.stream.* metrics advance), and the RecoveryDriver
+// bands' compute (fftx.stream.* metrics advance), a traced run records
+// the scheduler's queue wait as TaskWait spans, and the RecoveryDriver
 // survives a rank kill mid-stream with a bit-exact replay.
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "fftx/recovery.hpp"
 #include "fftx/reference.hpp"
 #include "simmpi/runtime.hpp"
+#include "trace/tracer.hpp"
 
 namespace {
 
@@ -174,6 +176,41 @@ TEST(Streaming, SplitPathPostsNonblockingAndHidesWait) {
             static_cast<std::uint64_t>(4 * 4 * kProc));
   EXPECT_EQ(reg.counter("fftx.stream.bands").value() - bands0,
             static_cast<std::uint64_t>(kBands * kProc));
+}
+
+TEST(Streaming, TracedRunRecordsQueueWaitSpans) {
+  // No observatory here: the caller's tracer alone must receive the
+  // ready-but-unscheduled wait of every streaming task.
+  auto desc =
+      std::make_shared<const Descriptor>(Cell{kAlat}, kEcut, kProc, kTg);
+  fx::trace::Tracer tracer(kProc);
+  Runtime::run(kProc, quiet_options(), [&](Comm& world) {
+    BandFftPipeline pipe(
+        world, desc,
+        make_config(PipelineMode::Streaming, 3,
+                    Variant{.stream_bands = 4, .fused = true}),
+        &tracer);
+    pipe.initialize_bands();
+    pipe.run();
+  });
+
+  std::vector<int> spans(kProc, 0);
+  for (const auto& e : tracer.compute_events()) {
+    if (e.phase != fx::trace::PhaseKind::TaskWait) continue;
+    ASSERT_GE(e.rank, 0);
+    ASSERT_LT(e.rank, kProc);
+    EXPECT_LE(e.t_begin, e.t_end);
+    // Attributed to an iteration: the first band of a task group.
+    EXPECT_GE(e.band, 0);
+    EXPECT_LT(e.band, kBands);
+    EXPECT_EQ(e.band % kTg, 0);
+    ++spans[static_cast<std::size_t>(e.rank)];
+  }
+  // At least one span per iteration (kBands / kTg) on every rank.
+  for (int r = 0; r < kProc; ++r) {
+    EXPECT_GE(spans[static_cast<std::size_t>(r)], kBands / kTg)
+        << "rank " << r;
+  }
 }
 
 TEST(Streaming, DepthClampsToIterationCountAndWorkerFloor) {

@@ -4,13 +4,32 @@
 
 #include <atomic>
 #include <map>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "simmpi/comm.hpp"
+#include "simmpi/context.hpp"
 #include "simmpi/runtime.hpp"
 
+namespace fx::mpi {
+
+/// Test-only window onto a communicator's shared context (a friend of
+/// Comm).
+class CommTestPeer {
+ public:
+  /// Entries in the context's split-child registry, live or expired.
+  static std::size_t registered_children(const Comm& comm) {
+    std::lock_guard lock(comm.ctx_->mu);
+    return comm.ctx_->children.size();
+  }
+};
+
+}  // namespace fx::mpi
+
 namespace {
+
+using fx::mpi::CommTestPeer;
 
 using fx::mpi::Comm;
 using fx::mpi::CommEvent;
@@ -149,6 +168,35 @@ TEST(Split, SingletonGroups) {
     EXPECT_EQ(solo.size(), 1);
     EXPECT_EQ(solo.rank(), 0);
     solo.barrier();  // must not hang
+  });
+}
+
+TEST(Split, ChildRegistryStaysBoundedByLiveChildren) {
+  // A long-lived parent that splits per request (the serving pattern) must
+  // not keep one registry entry -- and with it the child's whole context
+  // allocation -- per child it ever made.
+  constexpr int kCycles = 3000;
+  Runtime::run(2, [&](Comm& world) {
+    Comm kept = world.split(0, world.rank());
+    for (int i = 0; i < kCycles; ++i) {
+      Comm dropped = world.split(world.rank(), 0);  // two singletons
+      dropped.barrier();
+    }
+    // The next split prunes the expired entries before registering.
+    Comm probe = world.split(0, world.rank());
+    world.barrier();
+    EXPECT_EQ(CommTestPeer::registered_children(world), 2U);
+  });
+  // Pruning keeps the live children reachable for revocation (one rank, so
+  // no peer is still inside a collective when the world is revoked).
+  Runtime::run(1, [&](Comm& world) {
+    Comm kept = world.split(0, 0);
+    for (int i = 0; i < 100; ++i) (void)world.split(0, 0);
+    Comm probe = world.split(0, 0);
+    EXPECT_EQ(CommTestPeer::registered_children(world), 2U);
+    world.revoke("registry test");
+    EXPECT_TRUE(kept.is_revoked());
+    EXPECT_TRUE(probe.is_revoked());
   });
 }
 
