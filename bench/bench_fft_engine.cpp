@@ -183,8 +183,9 @@ void write_batched_csv() {
 // --- Per-ISA-tier report ------------------------------------------------
 
 /// GFLOP/s of every available tile tier on the pipeline's shapes: the
-/// Z-stick batch (n 60, 2550 sticks), one 60^2 and one 120^2 XY plane, and
-/// r2c over the same stick batch (half the complex flops).  The dispatch
+/// Z-stick batch (n 60, 2550 sticks), the same batch at the small grids'
+/// lengths 20 (radix 4*5) and 14 (radix 2*7), one 60^2 and one 120^2 XY
+/// plane, and r2c over the n-60 batch (half the complex flops).  The dispatch
 /// check is exact: the tier plans get by default must be the best tier the
 /// CPU reports, whatever the host.
 void write_isa_report() {
@@ -198,7 +199,12 @@ void write_isa_report() {
   fx::core::TablePrinter t(
       fx::core::cat("FFT tile GFLOP/s per ISA tier (dispatched: ",
                     fx::fft::to_string(dispatched), ")"));
-  t.header({"tier", "z_sticks_n60x2550", "plane60", "plane120", "r2c_n60x2550"});
+  const std::vector<std::string> keys{
+      "z_sticks_n60x2550", "z_sticks_n20x2550", "z_sticks_n14x2550",
+      "plane60",           "plane120",          "r2c_n60x2550"};
+  std::vector<std::string> header{"tier"};
+  header.insert(header.end(), keys.begin(), keys.end());
+  t.header(header);
   fx::fft::Workspace ws;
   const std::size_t nz = 60;
   const std::size_t sticks = 2550;
@@ -206,13 +212,15 @@ void write_isa_report() {
   for (const TileIsa isa : {TileIsa::Baseline, TileIsa::X86_64_V4}) {
     if (!fx::fft::tile_isa_available(isa)) continue;
     std::map<std::string, double> g;
-    {
-      const BatchPlan1d plan(nz, Direction::Backward, BatchKernel::Simd, isa);
-      auto data = random_signal(nz * sticks);
+    for (const std::size_t n : {60UL, 20UL, 14UL}) {
+      const BatchPlan1d plan(n, Direction::Backward, BatchKernel::Simd, isa);
+      auto data = random_signal(n * sticks);
       const double s = seconds_per_call([&] {
-        plan.execute_many(sticks, data.data(), 1, nz, data.data(), 1, nz, ws);
+        plan.execute_many(sticks, data.data(), 1, n, data.data(), 1, n, ws);
       });
-      g["z_sticks_n60x2550"] = 5.0 * nz * lz * sticks / s * 1e-9;
+      const double flops = 5.0 * static_cast<double>(n) *
+                           std::log2(static_cast<double>(n)) * sticks;
+      g[fx::core::cat("z_sticks_n", n, "x", sticks)] = flops / s * 1e-9;
     }
     for (const std::size_t n : {60UL, 120UL}) {
       const fx::fft::Fft2d plan(n, n, Direction::Backward, BatchKernel::Simd,
@@ -237,8 +245,7 @@ void write_isa_report() {
       g["r2c_n60x2550"] = 2.5 * nz * lz * sticks / s * 1e-9;
     }
     std::vector<std::string> row{fx::fft::to_string(isa)};
-    for (const auto& key :
-         {"z_sticks_n60x2550", "plane60", "plane120", "r2c_n60x2550"}) {
+    for (const auto& key : keys) {
       report.set(fx::core::cat("gflops.", key, ".", fx::fft::to_string(isa)),
                  g[key]);
       row.push_back(fmt(g[key]));

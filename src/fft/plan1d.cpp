@@ -8,6 +8,7 @@
 
 #include "core/error.hpp"
 #include "fft/bluestein.hpp"
+#include "fft/radix_consts.hpp"
 
 namespace fx::fft {
 
@@ -119,8 +120,87 @@ void Fft1d::small_dft(std::size_t r, const cplx* z, cplx* out,
       out[3 * ostride] = t1 - it3;
       return;
     }
+    case 5: {
+      // Closed form on the pairs t_k = z_k + z_{5-k}, d_k = z_k - z_{5-k}:
+      // out_k = a_k + i*b_k and out_{5-k} = a_k - i*b_k, with s folded into
+      // the sines (exact, s is +-1).  bsmall_dft (tile_body.hpp) runs these
+      // operations in this order; keep the two in lockstep.
+      const double ss1 = s * detail::kSin5_1;
+      const double ss2 = s * detail::kSin5_2;
+      const double z0r = z[0].real();
+      const double z0i = z[0].imag();
+      const double t1r = z[1].real() + z[4].real();
+      const double t1i = z[1].imag() + z[4].imag();
+      const double t2r = z[2].real() + z[3].real();
+      const double t2i = z[2].imag() + z[3].imag();
+      const double d1r = z[1].real() - z[4].real();
+      const double d1i = z[1].imag() - z[4].imag();
+      const double d2r = z[2].real() - z[3].real();
+      const double d2i = z[2].imag() - z[3].imag();
+      const double a1r = z0r + detail::kCos5_1 * t1r + detail::kCos5_2 * t2r;
+      const double a1i = z0i + detail::kCos5_1 * t1i + detail::kCos5_2 * t2i;
+      const double a2r = z0r + detail::kCos5_2 * t1r + detail::kCos5_1 * t2r;
+      const double a2i = z0i + detail::kCos5_2 * t1i + detail::kCos5_1 * t2i;
+      const double b1r = ss1 * d1r + ss2 * d2r;
+      const double b1i = ss1 * d1i + ss2 * d2i;
+      const double b2r = ss2 * d1r - ss1 * d2r;
+      const double b2i = ss2 * d1i - ss1 * d2i;
+      out[0] = cplx{z0r + t1r + t2r, z0i + t1i + t2i};
+      out[ostride] = cplx{a1r - b1i, a1i + b1r};
+      out[2 * ostride] = cplx{a2r - b2i, a2i + b2r};
+      out[3 * ostride] = cplx{a2r + b2i, a2i - b2r};
+      out[4 * ostride] = cplx{a1r + b1i, a1i - b1r};
+      return;
+    }
+    case 7: {
+      // Closed form as for r = 5, over three pairs; the cosine and sine
+      // index of term j in output k is j*k mod 7.  Lockstep with the tile.
+      const double ss1 = s * detail::kSin7_1;
+      const double ss2 = s * detail::kSin7_2;
+      const double ss3 = s * detail::kSin7_3;
+      const double z0r = z[0].real();
+      const double z0i = z[0].imag();
+      const double t1r = z[1].real() + z[6].real();
+      const double t1i = z[1].imag() + z[6].imag();
+      const double t2r = z[2].real() + z[5].real();
+      const double t2i = z[2].imag() + z[5].imag();
+      const double t3r = z[3].real() + z[4].real();
+      const double t3i = z[3].imag() + z[4].imag();
+      const double d1r = z[1].real() - z[6].real();
+      const double d1i = z[1].imag() - z[6].imag();
+      const double d2r = z[2].real() - z[5].real();
+      const double d2i = z[2].imag() - z[5].imag();
+      const double d3r = z[3].real() - z[4].real();
+      const double d3i = z[3].imag() - z[4].imag();
+      const double a1r = z0r + detail::kCos7_1 * t1r + detail::kCos7_2 * t2r +
+                         detail::kCos7_3 * t3r;
+      const double a1i = z0i + detail::kCos7_1 * t1i + detail::kCos7_2 * t2i +
+                         detail::kCos7_3 * t3i;
+      const double a2r = z0r + detail::kCos7_2 * t1r + detail::kCos7_3 * t2r +
+                         detail::kCos7_1 * t3r;
+      const double a2i = z0i + detail::kCos7_2 * t1i + detail::kCos7_3 * t2i +
+                         detail::kCos7_1 * t3i;
+      const double a3r = z0r + detail::kCos7_3 * t1r + detail::kCos7_1 * t2r +
+                         detail::kCos7_2 * t3r;
+      const double a3i = z0i + detail::kCos7_3 * t1i + detail::kCos7_1 * t2i +
+                         detail::kCos7_2 * t3i;
+      const double b1r = ss1 * d1r + ss2 * d2r + ss3 * d3r;
+      const double b1i = ss1 * d1i + ss2 * d2i + ss3 * d3i;
+      const double b2r = ss2 * d1r - ss3 * d2r - ss1 * d3r;
+      const double b2i = ss2 * d1i - ss3 * d2i - ss1 * d3i;
+      const double b3r = ss3 * d1r - ss1 * d2r + ss2 * d3r;
+      const double b3i = ss3 * d1i - ss1 * d2i + ss2 * d3i;
+      out[0] = cplx{z0r + t1r + t2r + t3r, z0i + t1i + t2i + t3i};
+      out[ostride] = cplx{a1r - b1i, a1i + b1r};
+      out[2 * ostride] = cplx{a2r - b2i, a2i + b2r};
+      out[3 * ostride] = cplx{a3r - b3i, a3i + b3r};
+      out[4 * ostride] = cplx{a3r + b3i, a3i - b3r};
+      out[5 * ostride] = cplx{a2r + b2i, a2i - b2r};
+      out[6 * ostride] = cplx{a1r + b1i, a1i - b1r};
+      return;
+    }
     default: {
-      // Generic O(r^2) kernel via the full twiddle table:
+      // Generic O(r^2) kernel (r in {11, 13}) via the full twiddle table:
       // w_r^{tq} = twiddle_[((t*q) % r) * (n_/r)].
       const std::size_t step = n_ / r;
       for (std::size_t t = 0; t < r; ++t) {

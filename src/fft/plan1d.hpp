@@ -2,7 +2,8 @@
 //
 // This is the engine behind QE's cft_2z / cft_2xy equivalents in the
 // pipeline.  The algorithm is a mixed-radix decimation-in-time transform
-// (radices 2, 3, 4, 5, 7, 11, 13) with a single full-size twiddle table;
+// with a single full-size twiddle table: radices 2, 3, 4, 5 and 7 run as
+// closed-form butterflies, 11 and 13 through a generic O(r^2) kernel;
 // sizes containing larger prime factors fall back to Bluestein's chirp-z
 // algorithm on an embedded power-of-two plan, so every size is O(n log n).
 //

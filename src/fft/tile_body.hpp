@@ -9,12 +9,15 @@
 // The arithmetic is the scalar engine's (Fft1d::recurse / small_dft),
 // operation for operation and in the same order, with each +-* widened to
 // the 8 lanes of a pack (an omp-simd loop or lane-wise vector values).
-// With contraction off that makes every tier's output bit-identical to the
-// scalar oracle's.
+// The closed-form radix-5 and radix-7 butterflies take their constants
+// from radix_consts.hpp, as the scalar ones do.  With contraction off that
+// makes every tier's output bit-identical to the scalar oracle's, so a
+// change to a butterfly here must be made in plan1d.cpp too.
 #pragma once
 
 #include <cstddef>
 
+#include "fft/radix_consts.hpp"
 #include "fft/tile_kernel.hpp"
 
 namespace fx::fft::detail {
@@ -130,8 +133,119 @@ void bsmall_dft(const TileView& v, std::size_t r, const double* z,
       }
       return;
     }
+    case 5: {
+      // The scalar kernel's closed form (plan1d.cpp), lane-wise.
+      const double ss1 = s * kSin5_1;
+      const double ss2 = s * kSin5_2;
+      const double* z0 = z;
+      const double* z1 = z + zp;
+      const double* z2 = z + 2 * zp;
+      const double* z3 = z + 3 * zp;
+      const double* z4 = z + 4 * zp;
+      double* o0 = out;
+      double* o1 = out + op;
+      double* o2 = out + 2 * op;
+      double* o3 = out + 3 * op;
+      double* o4 = out + 4 * op;
+#pragma omp simd
+      for (std::size_t l = 0; l < kW; ++l) {
+        const double z0r = z0[l];
+        const double z0i = z0[kW + l];
+        const double t1r = z1[l] + z4[l];
+        const double t1i = z1[kW + l] + z4[kW + l];
+        const double t2r = z2[l] + z3[l];
+        const double t2i = z2[kW + l] + z3[kW + l];
+        const double d1r = z1[l] - z4[l];
+        const double d1i = z1[kW + l] - z4[kW + l];
+        const double d2r = z2[l] - z3[l];
+        const double d2i = z2[kW + l] - z3[kW + l];
+        const double a1r = z0r + kCos5_1 * t1r + kCos5_2 * t2r;
+        const double a1i = z0i + kCos5_1 * t1i + kCos5_2 * t2i;
+        const double a2r = z0r + kCos5_2 * t1r + kCos5_1 * t2r;
+        const double a2i = z0i + kCos5_2 * t1i + kCos5_1 * t2i;
+        const double b1r = ss1 * d1r + ss2 * d2r;
+        const double b1i = ss1 * d1i + ss2 * d2i;
+        const double b2r = ss2 * d1r - ss1 * d2r;
+        const double b2i = ss2 * d1i - ss1 * d2i;
+        o0[l] = z0r + t1r + t2r;
+        o0[kW + l] = z0i + t1i + t2i;
+        o1[l] = a1r - b1i;
+        o1[kW + l] = a1i + b1r;
+        o2[l] = a2r - b2i;
+        o2[kW + l] = a2i + b2r;
+        o3[l] = a2r + b2i;
+        o3[kW + l] = a2i - b2r;
+        o4[l] = a1r + b1i;
+        o4[kW + l] = a1i - b1r;
+      }
+      return;
+    }
+    case 7: {
+      // The scalar kernel's closed form (plan1d.cpp), lane-wise.
+      const double ss1 = s * kSin7_1;
+      const double ss2 = s * kSin7_2;
+      const double ss3 = s * kSin7_3;
+      const double* z0 = z;
+      const double* z1 = z + zp;
+      const double* z2 = z + 2 * zp;
+      const double* z3 = z + 3 * zp;
+      const double* z4 = z + 4 * zp;
+      const double* z5 = z + 5 * zp;
+      const double* z6 = z + 6 * zp;
+      double* o0 = out;
+      double* o1 = out + op;
+      double* o2 = out + 2 * op;
+      double* o3 = out + 3 * op;
+      double* o4 = out + 4 * op;
+      double* o5 = out + 5 * op;
+      double* o6 = out + 6 * op;
+#pragma omp simd
+      for (std::size_t l = 0; l < kW; ++l) {
+        const double z0r = z0[l];
+        const double z0i = z0[kW + l];
+        const double t1r = z1[l] + z6[l];
+        const double t1i = z1[kW + l] + z6[kW + l];
+        const double t2r = z2[l] + z5[l];
+        const double t2i = z2[kW + l] + z5[kW + l];
+        const double t3r = z3[l] + z4[l];
+        const double t3i = z3[kW + l] + z4[kW + l];
+        const double d1r = z1[l] - z6[l];
+        const double d1i = z1[kW + l] - z6[kW + l];
+        const double d2r = z2[l] - z5[l];
+        const double d2i = z2[kW + l] - z5[kW + l];
+        const double d3r = z3[l] - z4[l];
+        const double d3i = z3[kW + l] - z4[kW + l];
+        const double a1r = z0r + kCos7_1 * t1r + kCos7_2 * t2r + kCos7_3 * t3r;
+        const double a1i = z0i + kCos7_1 * t1i + kCos7_2 * t2i + kCos7_3 * t3i;
+        const double a2r = z0r + kCos7_2 * t1r + kCos7_3 * t2r + kCos7_1 * t3r;
+        const double a2i = z0i + kCos7_2 * t1i + kCos7_3 * t2i + kCos7_1 * t3i;
+        const double a3r = z0r + kCos7_3 * t1r + kCos7_1 * t2r + kCos7_2 * t3r;
+        const double a3i = z0i + kCos7_3 * t1i + kCos7_1 * t2i + kCos7_2 * t3i;
+        const double b1r = ss1 * d1r + ss2 * d2r + ss3 * d3r;
+        const double b1i = ss1 * d1i + ss2 * d2i + ss3 * d3i;
+        const double b2r = ss2 * d1r - ss3 * d2r - ss1 * d3r;
+        const double b2i = ss2 * d1i - ss3 * d2i - ss1 * d3i;
+        const double b3r = ss3 * d1r - ss1 * d2r + ss2 * d3r;
+        const double b3i = ss3 * d1i - ss1 * d2i + ss2 * d3i;
+        o0[l] = z0r + t1r + t2r + t3r;
+        o0[kW + l] = z0i + t1i + t2i + t3i;
+        o1[l] = a1r - b1i;
+        o1[kW + l] = a1i + b1r;
+        o2[l] = a2r - b2i;
+        o2[kW + l] = a2i + b2r;
+        o3[l] = a3r - b3i;
+        o3[kW + l] = a3i + b3r;
+        o4[l] = a3r + b3i;
+        o4[kW + l] = a3i - b3r;
+        o5[l] = a2r + b2i;
+        o5[kW + l] = a2i - b2r;
+        o6[l] = a1r + b1i;
+        o6[kW + l] = a1i - b1r;
+      }
+      return;
+    }
     default: {
-      // Generic O(r^2) kernel (r in {5, 7, 11, 13}) via the shared full
+      // Generic O(r^2) kernel (r in {11, 13}) via the shared full
       // twiddle table: w_r^{tq} = twiddle[((t*q) % r) * (n/r)].  The
       // accumulators are whole-pack vector values, so they stay in
       // registers across the q loop instead of round-tripping through

@@ -703,8 +703,10 @@ void Frontend::fulfill_completed(Order& o,
       Tenant& t = tenant_locked(mm.req.tenant);
       t.latency_ms->record(lat_ms);
     }
-    fulfill(*mm.state, std::move(resp));
+    // Breaker first: a client that sees this response may resubmit at
+    // once, and its next admission must see the breaker's new state.
     breaker_success(mm.req.tenant);
+    fulfill(*mm.state, std::move(resp));
   }
 }
 
@@ -722,8 +724,9 @@ void Frontend::fulfill_terminal(Order& o, Status st, const std::string& why,
     resp.exec_s = exec_s;
     (st == Status::Failed ? m.failed : m.deadline_cancelled).add();
     m.latency_ms.record((now - mm.admit_ts) * 1e3);
-    fulfill(*mm.state, std::move(resp));
+    // Strike before fulfilling, as in fulfill_completed.
     if (st == Status::Failed) breaker_strike(mm.req.tenant);
+    fulfill(*mm.state, std::move(resp));
   }
 }
 

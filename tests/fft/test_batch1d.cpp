@@ -254,7 +254,10 @@ TEST_P(TierBitIdentity, EveryTierMatchesBaselineAndScalarBitForBit) {
 
 std::vector<TierCase> tier_cases() {
   std::vector<TierCase> cases;
-  for (std::size_t n : {10UL, 20UL, 30UL, 60UL, 64UL, 120UL, 243UL, 720UL}) {
+  // The closed-form radix-5 and radix-7 butterflies as leaves, in combine
+  // passes and mixed with each other, plus the radix-2/3/4 mixes.
+  for (std::size_t n : {5UL, 7UL, 10UL, 14UL, 20UL, 21UL, 25UL, 30UL, 35UL,
+                        49UL, 60UL, 64UL, 120UL, 175UL, 243UL, 720UL}) {
     for (const Direction dir : {Direction::Forward, Direction::Backward}) {
       cases.push_back({n, dir, false});
       cases.push_back({n, dir, true});

@@ -155,7 +155,9 @@ INSTANTIATE_TEST_SUITE_P(AllSmallSizes, Plan1dSweep,
 INSTANTIATE_TEST_SUITE_P(
     Composites, Plan1dSweep,
     ::testing::Values(48, 60, 64, 72, 90, 100, 105, 120, 128, 144, 180, 210,
-                      240, 243, 256, 360, 500, 512, 625, 729, 1000, 1024));
+                      240, 243, 256, 360, 500, 512, 625, 729, 1000, 1024,
+                      // radix-7 leaves and combines, alone and mixed
+                      14, 21, 35, 49, 175, 245));
 
 // Prime sizes exercising the Bluestein fallback.
 INSTANTIATE_TEST_SUITE_P(BluesteinPrimes, Plan1dSweep,

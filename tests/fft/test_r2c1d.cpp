@@ -221,7 +221,8 @@ TEST_P(R2cTierBitIdentity, EveryTierMatchesBaselineBitForBit) {
 
 std::vector<R2cTierCase> r2c_tier_cases() {
   std::vector<R2cTierCase> cases;
-  for (std::size_t n : {10UL, 20UL, 30UL, 60UL, 64UL, 120UL, 720UL}) {
+  // 14 and 42 run radix-7 half-length transforms (7 and 21).
+  for (std::size_t n : {10UL, 14UL, 20UL, 30UL, 42UL, 60UL, 64UL, 120UL, 720UL}) {
     for (const Direction dir : {Direction::Forward, Direction::Backward}) {
       cases.push_back({n, dir, false});
       cases.push_back({n, dir, true});
